@@ -1,10 +1,10 @@
 """Regenerate the differential-parity golden fingerprints.
 
-Runs every (application x builtin governor x trace level) cell through
-the *scalar* engine and records a SHA-256 over the canonical JSON of
-the :func:`repro.evaluation.runner.run_workload_job` result.  The
-differential suite (``tests/differential/test_batch_parity.py``)
-asserts both the scalar and the batched engine reproduce these bytes.
+Runs every (application x builtin governor x trace level) cell and
+records a SHA-256 over the canonical JSON of the
+:func:`repro.evaluation.runner.run_workload_job` result.  The
+differential suite (``tests/differential/test_golden_parity.py``)
+asserts every later change reproduces these bytes.
 
 Run from the repo root after any intentional result-affecting change::
 
@@ -24,7 +24,7 @@ from repro.scenarios import SCENARIOS  # noqa: E402
 from repro.workloads.registry import APP_NAMES  # noqa: E402
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "data",
-                   "batch_parity_fingerprints.json")
+                   "parity_fingerprints.json")
 
 #: The sweep's fixed workload knobs (mirrored by the parity test).
 TRACE_KIND = "micro"

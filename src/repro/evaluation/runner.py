@@ -276,19 +276,14 @@ def run_workload(
 
 
 class SessionExecution:
-    """One prepared measurement world, split so the scalar and batched
-    engines share every byte of setup and collection code.
+    """One measurement world, in three phases.
 
-    ``__init__`` builds everything :func:`execute_run` used to build
-    before advancing the clock; :meth:`run_scalar` replays the window on
-    this session's own kernel; :meth:`finish` collects the
-    :class:`RunResult`.  The batched path
-    (:func:`repro.evaluation.batch.run_workload_jobs_batched`) skips
-    :meth:`run_scalar` and instead hands ``platform.kernel`` plus
-    ``window_us`` to a :class:`~repro.sim.batch.BatchRunner`, then calls
-    :meth:`finish` — the only difference is *which loop* advances the
-    kernel, which is why results are byte-identical (and why the
-    differential suite exists to keep them that way).
+    ``__init__`` builds everything a session needs before the clock
+    moves (page, platform, bound scenario, policy, browser, folds, the
+    scheduled trace); :meth:`run_scalar` replays the fixed window on the
+    session's own kernel; :meth:`finish` collects the
+    :class:`RunResult`.  :func:`execute_run` runs the three in order;
+    the split exists so each phase can be timed on its own.
     """
 
     def __init__(
@@ -355,8 +350,8 @@ class SessionExecution:
         self.platform.run_for(self.window_us)
 
     def finish(self) -> RunResult:
-        """Collect metrics after the window has been executed (by either
-        engine); the kernel clock must already be at the deadline."""
+        """Collect metrics after :meth:`run_scalar`; the kernel clock
+        must already be at the deadline."""
         platform = self.platform
         browser = self.browser
         platform.meter.finalize(platform.kernel.now_us)
@@ -482,6 +477,13 @@ def run_result_to_dict(result: RunResult) -> dict:
     }
 
 
+#: the keys :func:`run_workload_job` accepts (``app`` is required)
+JOB_KEYS = frozenset({
+    "app", "governor", "scenario", "trace_kind", "seed", "settle_s",
+    "runtime_kwargs", "trace_level",
+})
+
+
 def run_workload_job(spec: dict) -> dict:
     """Worker-safe :func:`run_workload`: plain dict in, plain dict out.
 
@@ -490,8 +492,18 @@ def run_workload_job(spec: dict) -> dict:
     argument and the return value are built from picklable primitives
     only.  Recognised keys (all but ``app`` optional): ``app``,
     ``governor``, ``scenario``, ``trace_kind``, ``seed``, ``settle_s``,
-    ``runtime_kwargs``, ``trace_level``.
+    ``runtime_kwargs``, ``trace_level``.  Any other key raises
+    :class:`EvaluationError`, so a misspelt knob cannot silently fall
+    back to its default.
     """
+    unknown = sorted(set(spec) - JOB_KEYS)
+    if unknown:
+        raise EvaluationError(
+            f"unknown job key(s) {', '.join(map(repr, unknown))}; "
+            f"expected some of {', '.join(sorted(JOB_KEYS))}"
+        )
+    if "app" not in spec:
+        raise EvaluationError("job has no 'app' key")
     result = run_workload(
         spec["app"],
         spec.get("governor", "greenweb"),

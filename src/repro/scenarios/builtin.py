@@ -19,7 +19,7 @@ the optimal policy *mid-session*):
 
 All dynamics are driven off virtual time and the session's forked
 ``"scenario"`` RNG lane, so runs are deterministic and identical
-between the scalar and batched engines (see :mod:`repro.scenarios.base`
+across trace levels and worker counts (see :mod:`repro.scenarios.base`
 for the contract).
 """
 

@@ -134,6 +134,22 @@ class Job:
             self.cond.notify_all()
             return self.seq
 
+    def settle(self, status: str, event: str, data: str,
+               error: Optional[str] = None) -> None:
+        """Enter the terminal ``status`` and append its terminal
+        ``event`` in one step under :attr:`cond`.
+
+        An SSE handler ends its stream once the job is settled and it
+        has sent every logged event; doing both here, under one lock
+        hold, means no observer can see a settled job whose terminal
+        event is not in the log yet.
+        """
+        with self.cond:
+            self.status = status
+            self.error = error
+            self.settled_at = time.time()
+            self.publish(event, data)
+
     def progress_data(self, shard: Optional[dict] = None) -> str:
         """The JSON body of an ``update``/``snapshot`` event.
 
@@ -375,21 +391,34 @@ class JobStore:
                 if job.status == QUEUED:
                     if job_id in self._queue:
                         self._queue.remove(job_id)
-                    job.status = CANCELLED
-                    job.settled_at = time.time()
+                    job.settle(
+                        CANCELLED, "cancelled",
+                        json.dumps({"id": job.id, "status": CANCELLED}),
+                    )
                     self._persist(job)
                 else:
                     job.stop.set()
-        if job.status == CANCELLED:
-            job.publish("cancelled", json.dumps({"id": job.id, "status": CANCELLED}))
         return job
 
     def settle(self, job: Job, status: str, *, error: Optional[str] = None) -> None:
-        """Move a job to a terminal status and persist it."""
+        """Move a running job to a terminal status, publish the matching
+        terminal event in the same step (see :meth:`Job.settle`), and
+        persist it.
+
+        ``done`` publishes ``result`` with :attr:`Job.result_text`, which
+        the caller sets first; ``failed`` publishes the error;
+        ``cancelled`` publishes the shards completed before the stop.
+        """
         with job.cond:
-            job.status = status
-            job.error = error
-            job.settled_at = time.time()
+            if status == DONE:
+                event, data = "result", job.result_text
+            elif status == FAILED:
+                event, data = "failed", json.dumps({"id": job.id, "error": error})
+            else:
+                event, data = "cancelled", json.dumps(
+                    {"id": job.id, "status": CANCELLED, "shards_done": job.shards_done}
+                )
+            job.settle(status, event, data, error)
         with self._lock:
             self._persist(job)
 
@@ -527,9 +556,8 @@ class _JobLane(threading.Thread):
             )
             result = fleet.run()
         except Exception as exc:  # noqa: BLE001 - one job must not kill the daemon
-            store.settle(job, FAILED, error=f"{type(exc).__name__}: {exc}")
             metrics.job_settled(FAILED, wall_s())
-            job.publish("failed", json.dumps({"id": job.id, "error": job.error}))
+            store.settle(job, FAILED, error=f"{type(exc).__name__}: {exc}")
             self.scheduler.gc()
             return
 
@@ -538,15 +566,8 @@ class _JobLane(threading.Thread):
 
         if result.stopped:
             if job.cancel_requested:
-                store.settle(job, CANCELLED)
                 metrics.job_settled(CANCELLED, wall_s())
-                job.publish(
-                    "cancelled",
-                    json.dumps(
-                        {"id": job.id, "status": CANCELLED,
-                         "shards_done": job.shards_done}
-                    ),
-                )
+                store.settle(job, CANCELLED)
                 self.scheduler.gc()
             else:
                 # Daemon drain: the job is not over, the daemon is.
@@ -558,9 +579,8 @@ class _JobLane(threading.Thread):
         with job.cond:
             job.result_text = result_text
             job.ok = not result.failures
-        store.settle(job, DONE)
         metrics.job_settled(DONE, wall_s())
-        job.publish("result", result_text)
+        store.settle(job, DONE)
         self.scheduler.gc()
 
 

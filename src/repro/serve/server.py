@@ -266,7 +266,10 @@ class _Handler(BaseHTTPRequestHandler):
                     batch = [event for event in job.events if event[0] > cursor]
                     if not batch:
                         if job.status in SETTLED and cursor >= job.seq:
-                            return  # terminal already delivered; done
+                            # Job.settle logs the terminal event in the
+                            # same step as the status flip, so it has
+                            # been sent already.
+                            return
                         job.cond.wait(0.5)
                         batch = [event for event in job.events if event[0] > cursor]
                 for seq, name, data in batch:

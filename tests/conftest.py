@@ -39,9 +39,9 @@ MARKUP = """
 #: Small, fast two-cell population mix for fleet tests.
 FAST_MIX = parse_mix("todo:greenweb,cnet:perf")
 
-#: Golden scalar fingerprints for the differential batch-parity suite.
+#: Golden result fingerprints for the differential parity suite.
 PARITY_GOLDENS_PATH = os.path.join(
-    os.path.dirname(__file__), "data", "batch_parity_fingerprints.json"
+    os.path.dirname(__file__), "data", "parity_fingerprints.json"
 )
 
 

@@ -1,0 +1,84 @@
+"""Differential parity: every result cell against its golden fingerprint.
+
+The contract: :func:`repro.evaluation.runner.run_workload_job` must
+reproduce the checked-in golden fingerprints
+(``tests/data/parity_fingerprints.json``, regenerated only by
+``scripts/gen_parity_fingerprints.py`` after an intentional
+result-affecting change) **byte for byte** — for every application,
+every builtin governor, and both retained trace levels.  Any refactor
+of the execution path must leave these bytes alone.
+
+The full 144-cell sweep is marked ``slow``; a quick cross-section runs
+with the default suite.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.evaluation.runner import GOVERNORS, run_workload_job
+from repro.workloads.registry import APP_NAMES
+
+TRACE_LEVELS = ("full", "gated")
+
+#: Small cross-section for the fast suite: every governor appears at
+#: least once, both trace levels appear, several distinct apps.
+QUICK_CELLS = (
+    ("bbc", "greenweb", "full"),
+    ("amazon", "ebs", "gated"),
+    ("msn", "interactive", "full"),
+    ("paperjs", "perf", "gated"),
+    ("todo", "powersave", "full"),
+    ("lzma_js", "ondemand", "gated"),
+)
+
+
+def canonical(result: dict) -> str:
+    return json.dumps(result, sort_keys=True, separators=(",", ":"))
+
+
+def fingerprint(result: dict) -> str:
+    return hashlib.sha256(canonical(result).encode("utf-8")).hexdigest()
+
+
+def make_job(base: dict, app: str, governor: str, level: str) -> dict:
+    return {
+        "app": app,
+        "governor": governor,
+        "scenario": base["scenario"],
+        "trace_kind": base["trace_kind"],
+        "seed": base["seed"],
+        "settle_s": base["settle_s"],
+        "trace_level": level,
+    }
+
+
+class TestQuickCrossSection:
+    def test_scalar_matches_goldens(self, parity_goldens):
+        base = parity_goldens["workload"]
+        for app, governor, level in QUICK_CELLS:
+            result = run_workload_job(make_job(base, app, governor, level))
+            assert fingerprint(result) == parity_goldens["cells"][f"{app}:{governor}:{level}"]
+
+
+@pytest.mark.slow
+class TestFullSweep:
+    def test_every_cell_matches_golden(self, parity_goldens):
+        """All 12 apps x 6 builtin governors x 2 trace levels reproduce
+        the checked-in golden bytes."""
+        base = parity_goldens["workload"]
+        cells = [
+            (app, governor, level)
+            for app in APP_NAMES
+            for governor in GOVERNORS
+            for level in TRACE_LEVELS
+        ]
+        assert len(cells) == len(parity_goldens["cells"])
+        mismatches = []
+        for app, governor, level in cells:
+            key = f"{app}:{governor}:{level}"
+            result = run_workload_job(make_job(base, app, governor, level))
+            if fingerprint(result) != parity_goldens["cells"][key]:
+                mismatches.append(key)
+        assert not mismatches, "does not match golden:\n" + "\n".join(mismatches)

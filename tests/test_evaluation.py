@@ -19,7 +19,7 @@ from repro.evaluation.metrics import (
     violation_pct,
     windowed_config_residency,
 )
-from repro.evaluation.runner import GOVERNORS, run_workload
+from repro.evaluation.runner import GOVERNORS, JOB_KEYS, run_workload, run_workload_job
 from repro.hardware.dvfs import CpuConfig
 from repro.sim.tracing import TraceLog
 from repro.web.events import EventType
@@ -181,6 +181,24 @@ class TestRunner:
     def test_every_governor_runs(self, governor):
         result = run_workload("todo", governor, I, "micro")
         assert result.frames >= 1
+
+    def test_job_rejects_unknown_keys(self):
+        # Misspelt knobs used to fall back to their defaults silently
+        # (greenweb, seed 0) instead of failing.
+        with pytest.raises(EvaluationError, match="'governer', 'sead'"):
+            run_workload_job({"app": "todo", "sead": 5, "governer": "perf"})
+
+    def test_job_requires_app(self):
+        with pytest.raises(EvaluationError, match="'app'"):
+            run_workload_job({"governor": "perf"})
+
+    def test_emitted_jobs_use_only_recognised_keys(self):
+        from repro.fleet import FleetSpec
+
+        session = Session("todo", "greenweb", runtime_kwargs={"ewma_alpha": 0.25})
+        assert set(session.as_job()) == JOB_KEYS
+        (fleet_session,) = FleetSpec(sessions=1, seed=3).expand()
+        assert set(fleet_session.to_job()) == JOB_KEYS - {"runtime_kwargs"}
 
 
 class TestHeadlineShapes:

@@ -848,6 +848,108 @@ class TestHtmlEscaping:
         assert "&lt;img" in page
 
 
+class TestTerminalEventOrdering:
+    """Settling a job and logging its terminal event are one step.
+
+    Each test stalls the job lane right after ``JobStore.settle``
+    returns, until the subscriber's stream has ended.  A settle that
+    flipped the status before logging the terminal event would let the
+    SSE handler see a settled job with nothing left to send and close
+    the stream without one.
+    """
+
+    @pytest.fixture
+    def released(self, monkeypatch):
+        released = threading.Event()
+        settle = JobStore.settle
+
+        def settle_then_stall(store, job, status, *, error=None):
+            settle(store, job, status, error=error)
+            released.wait(timeout=30)
+
+        monkeypatch.setattr(JobStore, "settle", settle_then_stall)
+        yield released
+        released.set()
+
+    def stream(self, app, job_id, released):
+        try:
+            return sse_until_terminal(app.url + f"/jobs/{job_id}/events", timeout=30)
+        finally:
+            released.set()
+
+    def test_result(self, tmp_path, released):
+        app = ServeApp(
+            host="127.0.0.1", port=0, state_dir=str(tmp_path / "state"),
+            workers=2, quiet=True,
+        ).start()
+        try:
+            _, detail = http_json("POST", app.url + "/jobs", FAST_JOB)
+            events = self.stream(app, detail["id"], released)
+            assert events[-1].event == "result"
+            assert events[-1].data == batch_json(FAST_JOB)
+        finally:
+            released.set()
+            app.stop()
+
+    def test_failed(self, tmp_path, released, monkeypatch):
+        from repro.serve import jobs as serve_jobs
+
+        def exploding_fleet(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(serve_jobs, "Fleet", exploding_fleet)
+        app = ServeApp(
+            host="127.0.0.1", port=0, state_dir=str(tmp_path / "state"),
+            workers=1, quiet=True,
+        ).start()
+        try:
+            _, detail = http_json("POST", app.url + "/jobs", FAST_JOB)
+            events = self.stream(app, detail["id"], released)
+            assert events[-1].event == "failed"
+            assert json.loads(events[-1].data)["error"] == "RuntimeError: boom"
+        finally:
+            released.set()
+            app.stop()
+
+    def test_cancelled(self, tmp_path, released):
+        app = ServeApp(
+            host="127.0.0.1", port=0, state_dir=str(tmp_path / "state"),
+            workers=2, quiet=True,
+            inject_crash={"shard": [1, 2, 3], "attempts": 99,
+                          "mode": "sleep", "sleep_s": 300.0},
+        ).start()
+        try:
+            _, detail = http_json("POST", app.url + "/jobs", FAST_JOB)
+            job = app.store.get(detail["id"])
+            assert wait_for(lambda: job.shards_done >= 1)
+            events = []
+            consumer = threading.Thread(
+                target=lambda: events.extend(self.stream(app, job.id, released)),
+                daemon=True,
+            )
+            consumer.start()
+            http_json("DELETE", app.url + f"/jobs/{job.id}")
+            consumer.join(timeout=60)
+            assert events and events[-1].event == "cancelled"
+            assert json.loads(events[-1].data)["shards_done"] >= 1
+        finally:
+            released.set()
+            app.stop()
+
+    @pytest.mark.parametrize(
+        "status, event", [("done", "result"), ("failed", "failed"),
+                          ("cancelled", "cancelled")]
+    )
+    def test_store_settle_logs_the_terminal_event(self, tmp_path, status, event):
+        store = JobStore(str(tmp_path))
+        job = store.submit(dict(FAST_JOB))
+        assert store.claim_next() is job
+        job.result_text = "{}\n"
+        store.settle(job, status, error="boom" if status == "failed" else None)
+        assert job.status == status
+        assert [name for _, name, _ in job.events] == [event]
+
+
 class TestCancellation:
     def test_cancel_mid_run_settles_cancelled(self, tmp_path):
         # Shard 0 completes; shards 1..3 hang far past the test horizon,
