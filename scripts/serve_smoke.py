@@ -16,7 +16,9 @@ Orchestration (all through the real CLI, in subprocesses):
    It must exit 143 (128+SIGTERM) after draining.
 4. Start a third daemon life on the same state dir *without* the hook:
    it must resume both interrupted jobs from their checkpoint journals
-   and finish each — byte-identical to the batch JSON again.
+   and finish each — byte-identical to the batch JSON again.  The two
+   life-1 jobs, settled ``done`` two lives ago, must still stream their
+   terminal ``result``, byte-identical to the batch JSON too.
 
 Exits non-zero (with a diagnostic) on any deviation.
 """
@@ -194,10 +196,10 @@ def main() -> None:
         port = free_port()
         daemon = start_daemon(port, state_dir)
         try:
-            job_ids = {
+            settled_ids = {
                 seed: submit_job(port, spec_for(seed)) for seed in SEEDS
             }
-            for seed, job_id in job_ids.items():
+            for seed, job_id in settled_ids.items():
                 result = stream_terminal_result(port, job_id).encode("utf-8")
                 if result != references[seed]:
                     fail(f"SSE terminal result (seed {seed}) differs from "
@@ -253,6 +255,15 @@ def main() -> None:
                          f"batch:\n{references[seed].decode()}")
                 print(f"job {job_id} (seed {seed}): resumed after restart, "
                       f"byte-identical ({len(resumed)} bytes)")
+            for seed, job_id in settled_ids.items():
+                recovered = stream_terminal_result(port, job_id).encode("utf-8")
+                if recovered != references[seed]:
+                    fail(f"job settled in life 1 (seed {seed}) streams a "
+                         f"result that differs from the batch JSON\n"
+                         f"recovered:\n{recovered.decode()}\n"
+                         f"batch:\n{references[seed].decode()}")
+                print(f"job {job_id} (seed {seed}): settled two lives ago, "
+                      f"SSE result byte-identical ({len(recovered)} bytes)")
         finally:
             daemon.terminate()
             daemon.wait(timeout=60)

@@ -211,15 +211,22 @@ def run_tradeoff_space(
     points show big-max as the latency extreme, little-min as the
     energy extreme, and the frontier in between (paper Sec. 2: ACMP is
     "long known to provide a wide performance-energy trade-off space").
+    Violations are judged against ``scenario`` — any scenario spec,
+    spec string, or :class:`~repro.core.qos.UsageScenario` (default
+    imperceptible) — bound live to each run like every other session.
     """
     from repro.browser.engine import Browser
     from repro.core.qos import UsageScenario
     from repro.evaluation.runner import _ActiveWindowAccountant
     from repro.hardware.platform import odroid_xu_e
+    from repro.scenarios import SCENARIOS, build_live_scenario
     from repro.sim.clock import s_to_us
     from repro.workloads.interactions import InteractionDriver
     from repro.workloads.registry import build_app
 
+    scenario_spec = SCENARIOS.normalize(
+        scenario if scenario is not None else UsageScenario.IMPERCEPTIBLE
+    )
     points = []
     reference = odroid_xu_e()
     for config in reference.all_configs():
@@ -227,7 +234,9 @@ def run_tradeoff_space(
         platform = odroid_xu_e(
             record_power_intervals=False, initial_config=config
         )
+        live = build_live_scenario(scenario_spec, platform, seed=seed)
         browser = Browser(platform, bundle.page)  # no-op policy: pinned config
+        live.attach(browser)
         accountant = _ActiveWindowAccountant(platform)
         driver = InteractionDriver(browser)
         driver.schedule(bundle.micro_trace)
@@ -239,7 +248,6 @@ def run_tradeoff_space(
         from repro.core.annotations import AnnotationRegistry
         from repro.evaluation.metrics import event_violation_pct, mean_violation_pct
 
-        sc = scenario if scenario is not None else UsageScenario.IMPERCEPTIBLE
         registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
         violations = []
         for scripted, record in zip(
@@ -252,7 +260,7 @@ def run_tradeoff_space(
             )
             spec = registry.lookup(target, scripted.event_type)
             violations.append(
-                event_violation_pct(record, spec, sc) if spec else None
+                event_violation_pct(record, spec, live) if spec else None
             )
         points.append(
             TradeoffPoint(

@@ -21,7 +21,13 @@ six governors plus the post-hoc ``oracle`` lower bound) as a side
 effect.
 """
 
-from repro.policies.registry import POLICIES, ParamInfo, PolicyEntry, PolicyRegistry
+from repro.policies.registry import (
+    POLICIES,
+    ParamInfo,
+    PolicyRegistry,
+    SpecEntry,
+    SpecRegistry,
+)
 from repro.policies.spec import PolicySpec
 
 #: Register a policy on the process-wide default registry.
@@ -33,8 +39,9 @@ from repro.policies import builtin as _builtin  # noqa: E402,F401
 __all__ = [
     "POLICIES",
     "ParamInfo",
-    "PolicyEntry",
     "PolicyRegistry",
     "PolicySpec",
+    "SpecEntry",
+    "SpecRegistry",
     "register",
 ]

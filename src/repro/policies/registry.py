@@ -1,4 +1,9 @@
-"""The policy registry: one authoritative name -> policy mapping.
+"""The one spec registry, and its policy kind.
+
+:class:`SpecRegistry` registers, looks up, and validates one kind of
+:class:`~repro.policies.spec.Spec`; :class:`PolicyRegistry` adds
+post-hoc policies and live construction, as
+:class:`~repro.scenarios.registry.ScenarioRegistry` does for scenarios.
 
 Every scheduling policy — the paper's baselines, the GreenWeb runtime,
 post-hoc oracles, third-party extensions — registers here once, and
@@ -30,16 +35,17 @@ their callable receives the full run context and returns a finished
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from repro.errors import EvaluationError
 from repro.hardware.dvfs import CpuConfig
-from repro.policies.spec import PolicySpec
+from repro.policies.spec import PolicySpec, Spec
 
 #: Parameter names consumed by the build call itself, never part of a
-#: policy's parameter schema.
+#: policy's or scenario's parameter schema.
 _FIXED_PARAMS = frozenset({"self", "platform", "registry", "scenario"})
 
 
@@ -53,8 +59,10 @@ class ParamInfo:
 
 
 @dataclass(frozen=True)
-class PolicyEntry:
-    """One registered policy: factory, parameter schema, metadata."""
+class SpecEntry:
+    """One registered policy or scenario: factory, parameter schema,
+    metadata.  ``posthoc`` is set (and ``factory`` is None) only for
+    post-hoc policies."""
 
     name: str
     factory: Optional[Callable]
@@ -62,16 +70,6 @@ class PolicyEntry:
     description: str = ""
     aliases: Mapping[str, str] = field(default_factory=dict)
     posthoc: Optional[Callable] = None
-
-    @property
-    def param_names(self) -> list[str]:
-        return [p.name for p in self.params]
-
-    def param(self, name: str) -> ParamInfo:
-        for info in self.params:
-            if info.name == name:
-                return info
-        raise KeyError(name)
 
 
 def _annotation_text(annotation: object) -> str:
@@ -117,9 +115,7 @@ def _parse_cpu_config(value: str) -> CpuConfig:
     return CpuConfig(cluster, int(freq))
 
 
-def _coerce_param(
-    policy: str, info: ParamInfo, value: object, kind: str = "policy"
-) -> object:
+def _coerce_param(name: str, info: ParamInfo, value: object, kind: str) -> object:
     """Coerce a parsed spec value to the parameter's declared type."""
     annotation = info.annotation
     if "CpuConfig" in annotation:
@@ -128,45 +124,48 @@ def _coerce_param(
         if isinstance(value, str):
             return _parse_cpu_config(value)
         raise EvaluationError(
-            f"parameter {info.name!r} of {kind} {policy!r} expects a CPU "
+            f"parameter {info.name!r} of {kind} {name!r} expects a CPU "
             f"configuration (CLUSTER@MHZ), got {value!r}"
         )
     if "bool" in annotation or isinstance(info.default, bool):
         if isinstance(value, bool):
             return value
         raise EvaluationError(
-            f"parameter {info.name!r} of {kind} {policy!r} expects a bool "
+            f"parameter {info.name!r} of {kind} {name!r} expects a bool "
             f"(true/false), got {value!r}"
         )
     if "float" in annotation or isinstance(info.default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise EvaluationError(
-                f"parameter {info.name!r} of {kind} {policy!r} expects a "
+                f"parameter {info.name!r} of {kind} {name!r} expects a "
                 f"number, got {value!r}"
             )
         return float(value)
     if "int" in annotation or isinstance(info.default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise EvaluationError(
-                f"parameter {info.name!r} of {kind} {policy!r} expects an "
+                f"parameter {info.name!r} of {kind} {name!r} expects an "
                 f"integer, got {value!r}"
             )
         return value
     if annotation == "str" or isinstance(info.default, str):
         if not isinstance(value, str):
             raise EvaluationError(
-                f"parameter {info.name!r} of {kind} {policy!r} expects a "
+                f"parameter {info.name!r} of {kind} {name!r} expects a "
                 f"string, got {value!r}"
             )
         return value
     return value
 
 
-class PolicyRegistry:
-    """A mutable name -> :class:`PolicyEntry` mapping with validation."""
+class SpecRegistry:
+    """A mutable name -> :class:`SpecEntry` mapping with validation,
+    for one kind of spec (``spec_type``, whose ``KIND``/``KINDS`` name
+    the kind in every error message)."""
 
-    def __init__(self) -> None:
-        self._entries: dict[str, PolicyEntry] = {}
+    def __init__(self, spec_type: type[Spec]) -> None:
+        self.spec_type = spec_type
+        self._entries: dict[str, SpecEntry] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -178,13 +177,12 @@ class PolicyRegistry:
         description: str = "",
         params_from: Optional[Callable] = None,
         aliases: Optional[Mapping[str, str]] = None,
-        posthoc: bool = False,
         replace: bool = False,
     ) -> Callable:
-        """Decorator registering a policy factory (or post-hoc runner).
+        """Decorator registering a factory under ``name``.
 
         Args:
-            name: the policy's spec name.
+            name: the spec name.
             description: one-line summary for listings.
             params_from: introspect this callable's signature for the
                 parameter schema instead of the decorated factory's
@@ -192,13 +190,12 @@ class PolicyRegistry:
             aliases: short parameter spellings, e.g.
                 ``{"ewma": "ewma_alpha"}`` — resolved during
                 normalisation so canonical specs always use full names.
-            posthoc: the callable is a post-hoc runner producing a
-                finished run result, not a live browser policy.
             replace: allow re-registering an existing name (tests,
                 interactive reloads); otherwise duplicates raise.
         """
+        kind = self.spec_type.KIND
         if not replace and name in self._entries:
-            raise EvaluationError(f"policy {name!r} is already registered")
+            raise EvaluationError(f"{kind} {name!r} is already registered")
 
         def decorator(fn: Callable) -> Callable:
             params = _introspect_params(params_from if params_from is not None else fn)
@@ -207,16 +204,15 @@ class PolicyRegistry:
             for short, full in alias_map.items():
                 if full not in known:
                     raise EvaluationError(
-                        f"alias {short!r} of policy {name!r} targets unknown "
+                        f"alias {short!r} of {kind} {name!r} targets unknown "
                         f"parameter {full!r}"
                     )
-            self._entries[name] = PolicyEntry(
+            self._entries[name] = SpecEntry(
                 name=name,
-                factory=None if posthoc else fn,
+                factory=fn,
                 params=params,
                 description=description,
                 aliases=alias_map,
-                posthoc=fn if posthoc else None,
             )
             return fn
 
@@ -226,20 +222,21 @@ class PolicyRegistry:
     # Lookup
     # ------------------------------------------------------------------
     def names(self) -> tuple[str, ...]:
-        """All registered policy names, sorted."""
+        """All registered names, sorted."""
         return tuple(sorted(self._entries))
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def get(self, name: str) -> PolicyEntry:
-        """The entry for ``name``; the one unknown-policy error message
+    def get(self, name: str) -> SpecEntry:
+        """The entry for ``name``; the one unknown-name error message
         every layer (runner, session, fleet mix, CLI) reports."""
         try:
             return self._entries[name]
         except KeyError:
             raise EvaluationError(
-                f"unknown policy {name!r}; known policies: {list(self.names())}"
+                f"unknown {self.spec_type.KIND} {name!r}; known "
+                f"{self.spec_type.KINDS}: {list(self.names())}"
             ) from None
 
     def describe(self) -> dict[str, str]:
@@ -247,35 +244,58 @@ class PolicyRegistry:
         return {name: self._entries[name].description for name in self.names()}
 
     # ------------------------------------------------------------------
-    # Validation / construction
+    # Validation
     # ------------------------------------------------------------------
-    def normalize(self, spec: "PolicySpec | str") -> PolicySpec:
-        """Validate a spec against its policy's schema and return the
+    def normalize(self, spec: "Spec | str") -> Spec:
+        """Validate a spec against its entry's schema and return the
         canonical form: aliases resolved, values type-coerced, params
-        sorted.  Raises :class:`EvaluationError` on unknown policy
-        names, unknown parameters, or type mismatches."""
-        spec = PolicySpec.coerce(spec)
+        sorted.  Raises :class:`EvaluationError` on specs of another
+        kind, unknown names, unknown parameters, or type mismatches."""
+        spec = self.spec_type.coerce(spec)
+        kind = self.spec_type.KIND
         entry = self.get(spec.name)
+        schema = {info.name: info for info in entry.params}
         resolved: dict[str, object] = {}
         for key, value in spec.params:
             full = entry.aliases.get(key, key)
-            if full not in {p.name for p in entry.params}:
-                if not entry.params:
+            if full not in schema:
+                if not schema:
                     raise EvaluationError(
-                        f"policy {spec.name!r} accepts no parameters "
+                        f"{kind} {spec.name!r} accepts no parameters "
                         f"(got {key!r})"
                     )
                 raise EvaluationError(
-                    f"unknown parameter {key!r} for policy {spec.name!r}; "
-                    f"valid parameters: {entry.param_names}"
+                    f"unknown parameter {key!r} for {kind} {spec.name!r}; "
+                    f"valid parameters: {list(schema)}"
                 )
             if full in resolved:
                 raise EvaluationError(
-                    f"duplicate parameter {full!r} in policy {spec.name!r} "
+                    f"duplicate parameter {full!r} in {kind} {spec.name!r} "
                     "(alias and full name both given)"
                 )
-            resolved[full] = _coerce_param(spec.name, entry.param(full), value)
-        return PolicySpec(spec.name, tuple(resolved.items()))
+            resolved[full] = _coerce_param(spec.name, schema[full], value, kind)
+        return self.spec_type(spec.name, tuple(resolved.items()))
+
+
+class PolicyRegistry(SpecRegistry):
+    """The policy kind of :class:`SpecRegistry`: adds post-hoc
+    policies and building a live policy."""
+
+    def register(self, name: str, *, posthoc: bool = False, **options) -> Callable:
+        """:meth:`SpecRegistry.register`, plus ``posthoc=True``: the
+        callable is a post-hoc runner producing a finished run result,
+        not a live browser policy factory."""
+        decorator = super().register(name, **options)
+        if not posthoc:
+            return decorator
+
+        def register_posthoc(fn: Callable) -> Callable:
+            decorator(fn)
+            entry = self._entries[name]
+            self._entries[name] = dataclasses.replace(entry, factory=None, posthoc=fn)
+            return fn
+
+        return register_posthoc
 
     def build(self, spec, platform, registry, scenario):
         """Instantiate the live policy a spec describes.
@@ -312,4 +332,4 @@ class PolicyRegistry:
 #: The process-wide default registry.  ``repro.policies`` registers the
 #: built-in policies on import; third parties add theirs via
 #: :func:`repro.policies.register`.
-POLICIES = PolicyRegistry()
+POLICIES = PolicyRegistry(PolicySpec)

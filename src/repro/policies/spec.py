@@ -1,6 +1,6 @@
-"""Policy specs: scheduling policies as *data*.
+"""The spec grammar: policies and scenarios as *data*.
 
-A :class:`PolicySpec` is the parsed, canonical form of strings like::
+A :class:`Spec` is the parsed, canonical form of strings like::
 
     greenweb
     greenweb(ewma_alpha=0.25)
@@ -26,21 +26,26 @@ with ``repr`` (shortest round-tripping form), bools as ``true``/
 so pre-existing plumbing that compares governor *names* keeps working
 byte-for-byte.
 
-The grammar is shared: :class:`repro.scenarios.spec.ScenarioSpec`
-subclasses :class:`PolicySpec` with ``KIND = "scenario"``, so scenario
-specs parse, canonicalise, and validate identically while error
-messages name the right kind of spec.
+Each kind of spec is a sibling subclass of :class:`Spec` that only
+names itself: :class:`PolicySpec` (``KIND = "policy"``) here and
+:class:`repro.scenarios.spec.ScenarioSpec` (``KIND = "scenario"``).
+Both parse, canonicalise, and validate identically, error messages
+name the right kind, and neither kind's ``coerce`` accepts the other,
+so a scenario spec can never be validated as a policy or vice versa.
 
 String parameter values may never contain ``|`` or ``:`` — those are
 the fleet cell-key and mix-entry delimiters
 (:data:`repro.fleet.aggregate.CELL_SEP` and the mix grammar), and a
 spec that smuggled one in would mis-parse every downstream cell table.
 The parser's bare-string alphabet already excludes them; programmatic
-construction enforces the same rule in ``__post_init__``.
+construction enforces the same rule in ``__post_init__``.  Float values
+must be finite: ``nan`` breaks spec equality and ``inf`` does not
+round-trip its spelling, so both are refused in every spelling.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -68,9 +73,15 @@ def parse_param_value(text: str, kind: str = "policy") -> object:
     if _INT_RE.match(item):
         return int(item)
     try:
-        return float(item)
+        number = float(item)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(number):
+            raise EvaluationError(
+                f"bad {kind} parameter value {text!r}: numbers must be finite"
+            )
+        return number
     if not _BARE_VALUE_RE.match(item):
         raise EvaluationError(
             f"bad {kind} parameter value {text!r}: expected a bool, number, "
@@ -108,8 +119,8 @@ def format_param_value_lossy(value: object) -> str:
 
 
 @dataclass(frozen=True)
-class PolicySpec:
-    """One scheduling policy plus its parameters, as a value type.
+class Spec:
+    """One named thing plus its parameters, as a value type.
 
     ``params`` is a sorted tuple of ``(key, value)`` pairs so specs are
     hashable and order-insensitive: ``greenweb(a=1,b=2)`` equals
@@ -119,9 +130,10 @@ class PolicySpec:
     name: str
     params: tuple[tuple[str, object], ...] = ()
 
-    #: What this spec describes; subclasses (scenario specs) override it
-    #: so shared grammar errors name the right kind.
-    KIND = "policy"
+    #: What this spec describes, singular and plural; each kind of spec
+    #: overrides both so shared grammar and registry errors name it.
+    KIND = "spec"
+    KINDS = "specs"
 
     def __post_init__(self) -> None:
         if not _NAME_RE.match(self.name):
@@ -137,6 +149,11 @@ class PolicySpec:
                     f"duplicate parameter {key!r} in {self.KIND} {self.name!r}"
                 )
             seen.add(key)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise EvaluationError(
+                    f"bad parameter value {value!r} for {key!r} in "
+                    f"{self.KIND} {self.name!r}: numbers must be finite"
+                )
             if isinstance(value, str) and any(
                 delim in value for delim in _RESERVED_DELIMITERS
             ):
@@ -152,7 +169,7 @@ class PolicySpec:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def parse(cls, text: str) -> "PolicySpec":
+    def parse(cls, text: str) -> "Spec":
         """Parse a spec string (see the module docstring's grammar)."""
         item = text.strip()
         if not item:
@@ -187,7 +204,7 @@ class PolicySpec:
         return cls(name=name, params=tuple(params))
 
     @classmethod
-    def coerce(cls, value: "PolicySpec | str") -> "PolicySpec":
+    def coerce(cls, value: "Spec | str") -> "Spec":
         """A spec of this class from a spec (pass-through) or a string."""
         if isinstance(value, cls):
             return value
@@ -198,7 +215,7 @@ class PolicySpec:
             f"got {type(value).__name__}"
         )
 
-    def with_params(self, **params: object) -> "PolicySpec":
+    def with_params(self, **params: object) -> "Spec":
         """A copy with ``params`` merged in (new keys win over old)."""
         merged = dict(self.params)
         merged.update(params)
@@ -232,3 +249,11 @@ class PolicySpec:
 
     def __str__(self) -> str:
         return self.label()
+
+
+@dataclass(frozen=True)
+class PolicySpec(Spec):
+    """One scheduling policy plus its parameters."""
+
+    KIND = "policy"
+    KINDS = "policies"

@@ -13,7 +13,7 @@ See :mod:`repro.scenarios.base` for the determinism contract and
 """
 
 from repro.scenarios.base import Scenario, ScenarioView, interpolate_target_ms
-from repro.scenarios.registry import SCENARIOS, ScenarioEntry, ScenarioRegistry
+from repro.scenarios.registry import SCENARIOS, ScenarioRegistry
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios import builtin as _builtin  # noqa: F401  registers builtins
 from repro.sim.random import RngStreams
@@ -36,7 +36,6 @@ def build_live_scenario(spec, platform, seed: int = 0) -> Scenario:
 __all__ = [
     "SCENARIOS",
     "Scenario",
-    "ScenarioEntry",
     "ScenarioRegistry",
     "ScenarioSpec",
     "ScenarioView",

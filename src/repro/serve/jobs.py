@@ -134,10 +134,9 @@ class Job:
             self.cond.notify_all()
             return self.seq
 
-    def settle(self, status: str, event: str, data: str,
-               error: Optional[str] = None) -> None:
-        """Enter the terminal ``status`` and append its terminal
-        ``event`` in one step under :attr:`cond`.
+    def settle(self, status: str, error: Optional[str] = None) -> None:
+        """Enter the terminal ``status`` and append its terminal event
+        (:meth:`publish_terminal`) in one step under :attr:`cond`.
 
         An SSE handler ends its stream once the job is settled and it
         has sent every logged event; doing both here, under one lock
@@ -148,7 +147,25 @@ class Job:
             self.status = status
             self.error = error
             self.settled_at = time.time()
-            self.publish(event, data)
+            self.publish_terminal()
+
+    def publish_terminal(self) -> None:
+        """Publish the terminal event of the job's settled status.
+
+        ``done`` publishes ``result`` with :attr:`result_text`;
+        ``failed`` publishes the error; ``cancelled`` publishes the
+        shards completed before the stop.  Both the live settle path
+        and :meth:`JobStore.recover` publish through here, so a job
+        settled in an earlier daemon life streams the same event.
+        """
+        if self.status == DONE:
+            self.publish("result", self.result_text)
+        elif self.status == FAILED:
+            self.publish("failed", json.dumps({"id": self.id, "error": self.error}))
+        else:
+            self.publish("cancelled", json.dumps(
+                {"id": self.id, "status": CANCELLED, "shards_done": self.shards_done}
+            ))
 
     def progress_data(self, shard: Optional[dict] = None) -> str:
         """The JSON body of an ``update``/``snapshot`` event.
@@ -248,6 +265,8 @@ class JobStore:
             record["error"] = job.error
         if job.settled_at is not None:
             record["settled_at"] = job.settled_at
+        if job.status == CANCELLED:
+            record["shards_done"] = job.shards_done
         write_file_atomic(
             self.job_path(job.id), json.dumps(record, sort_keys=True) + "\n"
         )
@@ -296,6 +315,8 @@ class JobStore:
         (``cancelled``/``failed``) load as-is; everything else —
         including jobs that were mid-run when the daemon died — goes
         back on the queue, to be resumed from its checkpoint journal.
+        Every settled job's event log starts with its terminal event,
+        so its SSE stream ends the way the live one did.
         """
         recovered: list[Job] = []
         for name in sorted(os.listdir(self.state_dir)):
@@ -306,6 +327,7 @@ class JobStore:
             job = Job(record["id"], record["spec"], status=record["status"])
             job.error = record.get("error")
             job.settled_at = record.get("settled_at")
+            job.shards_done = record.get("shards_done", 0)
             result_path = self.result_path(job.id)
             if os.path.exists(result_path):
                 with open(result_path, encoding="utf-8") as handle:
@@ -321,6 +343,8 @@ class JobStore:
                     job.settled_at = os.path.getmtime(result_path)
             elif job.status not in SETTLED:
                 job.status = QUEUED
+            if job.status in SETTLED:
+                job.publish_terminal()
             recovered.append(job)
         # The admission bound deliberately does not apply here:
         # persisted jobs are never dropped, however many were queued
@@ -391,10 +415,7 @@ class JobStore:
                 if job.status == QUEUED:
                     if job_id in self._queue:
                         self._queue.remove(job_id)
-                    job.settle(
-                        CANCELLED, "cancelled",
-                        json.dumps({"id": job.id, "status": CANCELLED}),
-                    )
+                    job.settle(CANCELLED)
                     self._persist(job)
                 else:
                     job.stop.set()
@@ -403,22 +424,9 @@ class JobStore:
     def settle(self, job: Job, status: str, *, error: Optional[str] = None) -> None:
         """Move a running job to a terminal status, publish the matching
         terminal event in the same step (see :meth:`Job.settle`), and
-        persist it.
-
-        ``done`` publishes ``result`` with :attr:`Job.result_text`, which
-        the caller sets first; ``failed`` publishes the error;
-        ``cancelled`` publishes the shards completed before the stop.
-        """
-        with job.cond:
-            if status == DONE:
-                event, data = "result", job.result_text
-            elif status == FAILED:
-                event, data = "failed", json.dumps({"id": job.id, "error": error})
-            else:
-                event, data = "cancelled", json.dumps(
-                    {"id": job.id, "status": CANCELLED, "shards_done": job.shards_done}
-                )
-            job.settle(status, event, data, error)
+        persist it.  For ``done`` the caller sets
+        :attr:`Job.result_text` first."""
+        job.settle(status, error)
         with self._lock:
             self._persist(job)
 

@@ -31,12 +31,6 @@ from repro.sim.tracing import TRACE_LEVELS
 from repro.workloads.registry import APP_NAMES
 
 
-def _coerce_scenario(scenario: "UsageScenario | ScenarioSpec | str") -> ScenarioSpec:
-    """Validate and canonicalise through the scenario registry (one
-    vocabulary for the CLI, fleet mixes, and this facade)."""
-    return SCENARIOS.normalize(scenario)
-
-
 class Session:
     """A configured (application, governor, scenario) experiment."""
 
@@ -60,7 +54,8 @@ class Session:
             )
         self.app_name = app_name
         self.governor = resolve_spec(governor).canonical()
-        self.scenario = _coerce_scenario(scenario)
+        # One scenario vocabulary for the CLI, fleet mixes, and this facade.
+        self.scenario = SCENARIOS.normalize(scenario)
         self.seed = seed
         self.runtime_kwargs = runtime_kwargs
         self.trace_level = trace_level
@@ -97,9 +92,8 @@ class Session:
         ``browser.dispatch_event`` or an
         :class:`~repro.workloads.InteractionDriver`.  ``seed`` feeds
         the scenario's RNG lane (dynamic scenarios only)."""
-        spec = _coerce_scenario(scenario)
         platform = odroid_xu_e()
-        live = build_live_scenario(spec, platform, seed=seed)
+        live = build_live_scenario(scenario, platform, seed=seed)
         registry = AnnotationRegistry.from_stylesheet(page.stylesheet)
         policy = make_policy(governor, platform, registry, live)
         browser = Browser(platform, page, policy=policy)

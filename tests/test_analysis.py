@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.qos import UsageScenario
 from repro.errors import EvaluationError
 from repro.evaluation.analysis import (
     TradeoffPoint,
@@ -131,6 +132,15 @@ class TestTradeoffSpace:
         frontier = pareto_frontier(points)
         assert len(frontier) >= 3
         assert {p.cluster for p in frontier} == {"big", "little"}
+
+    def test_any_scenario_spec_judges_violations(self):
+        # A scenario string binds the same live scenario as the enum;
+        # the default is imperceptible.
+        usable = run_tradeoff_space("cnet", scenario=UsageScenario.USABLE)
+        assert run_tradeoff_space("cnet", scenario="usable") == usable
+        default = run_tradeoff_space("cnet")
+        assert run_tradeoff_space("cnet", scenario="imperceptible") == default
+        assert default != usable
 
     def test_integration_with_run_trace(self):
 

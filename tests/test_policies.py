@@ -7,6 +7,7 @@ governor name against golden data captured before the refactor.
 """
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -15,8 +16,10 @@ from repro.core.annotations import AnnotationRegistry
 from repro.core.qos import UsageScenario
 from repro.errors import EvaluationError
 from repro.evaluation.runner import GOVERNORS, make_policy, run_workload
+from repro.fleet import parse_mix
 from repro.hardware.platform import odroid_xu_e
 from repro.policies import POLICIES, PolicySpec
+from repro.scenarios import ScenarioSpec
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "governor_parity.json"
 
@@ -81,6 +84,27 @@ class TestPolicySpec:
     def test_duplicate_param_rejected(self):
         with pytest.raises(EvaluationError, match="duplicate"):
             PolicySpec.parse("greenweb(ewma=0.25,ewma=0.5)")
+
+    @pytest.mark.parametrize(
+        "value",
+        ["nan", "NaN", "-nan", "inf", "+inf", "-inf", "Infinity",
+         "-INFINITY", "1e999", "-1e999"],
+    )
+    def test_non_finite_numbers_rejected(self, value):
+        # nan never equals itself and 1e999 canonicalises to inf, so
+        # neither can round-trip; the parse path and --mix path refuse.
+        with pytest.raises(EvaluationError, match="finite"):
+            PolicySpec.parse(f"greenweb(ewma_alpha={value})")
+        with pytest.raises(EvaluationError, match="finite"):
+            parse_mix(f"todo:greenweb(ewma_alpha={value})")
+        with pytest.raises(EvaluationError, match="finite"):
+            parse_mix(f"todo:greenweb:thermal(hot_load={value})")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls", [PolicySpec, ScenarioSpec])
+    def test_non_finite_construction_rejected(self, cls, value):
+        with pytest.raises(EvaluationError, match="finite"):
+            cls("greenweb", (("ewma_alpha", value),))
 
 
 # ----------------------------------------------------------------------

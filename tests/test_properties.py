@@ -2,8 +2,10 @@
 
 These tests exercise cross-module properties that unit tests cannot:
 energy conservation, frame-attribution bookkeeping balance, parser
-totality (malformed CSS never escapes the CssError hierarchy), and
-whole-stack robustness under randomly generated interaction traces.
+totality (malformed CSS never escapes the CssError hierarchy; spec
+strings never escape EvaluationError), the spec grammar's round trip
+and kind separation, and whole-stack robustness under randomly
+generated interaction traces.
 """
 
 import pytest
@@ -14,8 +16,11 @@ from repro.browser.frame_tracker import FrameTracker
 from repro.browser.messages import InputMsg
 from repro.core import AnnotationRegistry, GreenWebRuntime, UsageScenario
 from repro.core.governors import InteractiveGovernor, PerfGovernor
-from repro.errors import BrowserError, ReproError
+from repro.errors import BrowserError, EvaluationError, ReproError
 from repro.hardware import CpuConfig, WorkUnit, odroid_xu_e
+from repro.policies import POLICIES, PolicySpec
+from repro.policies.spec import parse_param_value
+from repro.scenarios import SCENARIOS, ScenarioSpec
 from repro.web import Callback, parse_html
 from repro.web.css.parser import parse_stylesheet
 from repro.web.events import EventType
@@ -62,6 +67,78 @@ class TestCssFuzz:
         annotations = extract_annotations(parse_stylesheet(css))
         assert len(annotations) == 1
         assert annotations[0].spec.target.imperceptible_ms == ti
+
+
+# ----------------------------------------------------------------------
+# The shared spec grammar (policies and scenarios)
+# ----------------------------------------------------------------------
+_SPEC_KINDS = [(PolicySpec, POLICIES), (ScenarioSpec, SCENARIOS)]
+
+_identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_-]{0,12}", fullmatch=True)
+
+
+def _reads_back_as_string(text):
+    """Bare strings spelled like a bool or number parse as that type,
+    so only the others can round-trip as strings."""
+    try:
+        return parse_param_value(text) == text
+    except EvaluationError:
+        return False
+
+
+_param_values = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.from_regex(r"[A-Za-z0-9_@.+-]{1,12}", fullmatch=True).filter(
+        _reads_back_as_string
+    ),
+)
+_spec_parts = st.tuples(
+    st.sampled_from(POLICIES.names() + SCENARIOS.names()) | _identifiers,
+    st.dictionaries(_identifiers, _param_values, max_size=4),
+)
+
+
+class TestSpecGrammarProperties:
+    @given(kind=st.sampled_from(_SPEC_KINDS), parts=_spec_parts)
+    @settings(max_examples=200)
+    def test_canonical_round_trips(self, kind, parts):
+        cls, _ = kind
+        name, params = parts
+        spec = cls(name, tuple(params.items()))
+        assert cls.parse(spec.canonical()) == spec
+
+    @given(
+        kind=st.sampled_from(_SPEC_KINDS),
+        text=st.text(max_size=60) | st.lists(
+            st.sampled_from(
+                ["greenweb", "thermal", "x", "(", ")", "=", ",", " ", "1",
+                 "-2.5", "1e999", "nan", "inf", "true", "big@1800MHz",
+                 "|", ":", "\n", "\x00", "é", "１"]
+            ),
+            max_size=20,
+        ).map("".join),
+    )
+    @settings(max_examples=300)
+    def test_parse_raises_only_evaluation_errors(self, kind, text):
+        cls, _ = kind
+        try:
+            cls.parse(text)
+        except EvaluationError:
+            pass
+
+    @given(kinds=st.permutations(_SPEC_KINDS), parts=_spec_parts)
+    @settings(max_examples=200)
+    def test_other_kind_is_refused(self, kinds, parts):
+        (cls, _), (other_cls, other_registry) = kinds
+        name, params = parts
+        spec = cls(name, tuple(params.items()))
+        expected = f"expected a {other_cls.KIND} spec"
+        with pytest.raises(EvaluationError, match=expected):
+            other_cls.coerce(spec)
+        with pytest.raises(EvaluationError, match=expected):
+            other_registry.normalize(spec)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.fleet import FleetSpec, parse_mix
 from repro.fleet.aggregate import cell_key, split_cell_key
 from repro.hardware.dvfs import CpuConfig
 from repro.hardware.platform import odroid_xu_e
+from repro.policies import POLICIES
 from repro.policies.spec import PolicySpec
 from repro.scenarios import (
     SCENARIOS,
@@ -49,6 +50,18 @@ class TestSpecGrammar:
 
     def test_enum_accepted_for_back_compat(self):
         assert SCENARIOS.normalize(UsageScenario.USABLE).canonical() == "usable"
+
+    def test_specs_of_the_other_kind_are_refused(self):
+        # Sibling spec kinds: neither registry validates the other's.
+        with pytest.raises(EvaluationError, match="expected a policy spec"):
+            POLICIES.normalize(ScenarioSpec("greenweb"))
+        with pytest.raises(EvaluationError, match="expected a scenario spec"):
+            SCENARIOS.normalize(PolicySpec("usable"))
+
+    def test_posthoc_is_policy_only(self):
+        with pytest.raises(TypeError):
+            SCENARIOS.register("replayed", posthoc=True)
+        assert "replayed" not in SCENARIOS
 
     def test_unknown_scenario_lists_vocabulary(self):
         with pytest.raises(EvaluationError, match="known scenarios"):

@@ -27,6 +27,7 @@ from repro.serve import (
     merge_partials,
     normalize_job_payload,
 )
+from repro.serve.jobs import TERMINAL_EVENTS
 
 #: Small-but-real population: 4 shards, two governors, ~15 ms/session.
 FAST_JOB = {"sessions": 8, "shard_size": 2, "seed": 11,
@@ -282,6 +283,29 @@ class TestJobStore:
         (recovered,) = fresh.recover()
         assert recovered.status == "cancelled"
         assert fresh.claim_next() is None
+
+    @pytest.mark.parametrize("status", ["done", "failed", "cancelled"])
+    def test_recover_publishes_the_terminal_event(self, tmp_path, status):
+        # Settle in one daemon life, recover in the next: the recovered
+        # job's log must end with the terminal event the live one
+        # published, so an SSE client of it gets a terminal event too.
+        store = JobStore(str(tmp_path))
+        job = store.submit(dict(FAST_JOB))
+        assert store.claim_next() is job
+        if status == "done":
+            job.result_text = batch_json(dict(FAST_JOB))
+            (tmp_path / f"{job.id}.result.json").write_text(job.result_text)
+        job.shards_done = 3
+        store.settle(job, status, error="boom" if status == "failed" else None)
+        fresh = JobStore(str(tmp_path))
+        (recovered,) = fresh.recover()
+        assert recovered.status == status
+        _, name, data = recovered.events[-1]
+        assert name in TERMINAL_EVENTS
+        assert (name, data) == job.events[-1][1:]
+        if status == "done":
+            result_file = (tmp_path / f"{job.id}.result.json").read_bytes()
+            assert data.encode("utf-8") == result_file
 
     def test_claim_order_respects_priority_then_admission(self, tmp_path):
         store = JobStore(str(tmp_path))
