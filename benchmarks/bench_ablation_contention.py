@@ -12,46 +12,23 @@ premium that reflects the background work riding the foreground's
 configuration choices.
 """
 
-from conftest import run_once
+from conftest import run_greenweb, run_once
 
-from repro.browser.engine import Browser
-from repro.core.annotations import AnnotationRegistry
-from repro.core.qos import UsageScenario
-from repro.policies import POLICIES
-from repro.evaluation.metrics import event_violation_pct, mean_violation_pct
 from repro.hardware.platform import odroid_xu_e
 from repro.workloads.background import BackgroundApplication
-from repro.workloads.interactions import InteractionDriver
-from repro.workloads.registry import build_app
-
-I = UsageScenario.IMPERCEPTIBLE
 
 
 def _run(with_background: bool):
-    bundle = build_app("cnet")
     platform = odroid_xu_e(record_power_intervals=False)
-    registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    runtime = POLICIES.build("greenweb", platform, registry, I)
-    browser = Browser(platform, bundle.page, policy=runtime)
     background = None
     if with_background:
         background = BackgroundApplication(platform, period_ms=25, burst_mcycles=4.0)
         background.start()
-    driver = InteractionDriver(browser)
-    driver.schedule(bundle.micro_trace)
-    platform.run_for(bundle.micro_trace.duration_us + 4_000_000)
-
-    violations = []
-    for scripted, record in zip(bundle.micro_trace.sorted_events(),
-                                browser.tracker.records):
-        target = bundle.page.document.get_element_by_id(scripted.target_id)
-        spec = registry.lookup(target, scripted.event_type)
-        if spec is not None:
-            violations.append(event_violation_pct(record, spec, I))
+    _, result = run_greenweb("cnet", platform)
     return {
-        "energy_j": platform.meter.total_j,
-        "violations_pct": mean_violation_pct(violations),
-        "frames": browser.stats.frames,
+        "energy_j": result.energy_j,
+        "violations_pct": result.mean_violation_pct,
+        "frames": result.frames,
         "bursts": background.bursts_run if background else 0,
     }
 

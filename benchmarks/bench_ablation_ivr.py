@@ -12,36 +12,24 @@ workload, and also verifies the paper's baseline observation that at
 millisecond-scale QoS targets.
 """
 
-from conftest import run_once
+from conftest import run_greenweb, run_once
 
-from repro.browser.engine import Browser
-from repro.core.annotations import AnnotationRegistry
-from repro.core.qos import UsageScenario
-from repro.policies import POLICIES
 from repro.hardware.platform import odroid_xu_e
-from repro.workloads.interactions import InteractionDriver
-from repro.workloads.registry import build_app
 
 
 def _run(fast_vr: bool):
-    bundle = build_app("w3schools")
     platform = odroid_xu_e(
         record_power_intervals=False, fast_voltage_regulators=fast_vr
     )
-    registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    runtime = POLICIES.build("greenweb", platform, registry, UsageScenario.IMPERCEPTIBLE)
-    browser = Browser(platform, bundle.page, policy=runtime)
-    driver = InteractionDriver(browser)
-    driver.schedule(bundle.micro_trace)
-    platform.run_for(bundle.micro_trace.duration_us + 4_000_000)
-    latencies = browser.tracker.all_frame_latencies_us()
+    execution, result = run_greenweb("w3schools", platform)
+    latencies = execution.browser.tracker.all_frame_latencies_us()
     mean_latency = sum(latencies) / len(latencies) if latencies else 0
     return {
-        "energy_j": platform.meter.total_j,
+        "energy_j": result.energy_j,
         "mean_frame_latency_us": mean_latency,
-        "freq_switches": platform.dvfs.freq_switches,
-        "migrations": platform.dvfs.migrations,
-        "frames": browser.stats.frames,
+        "freq_switches": result.freq_switches,
+        "migrations": result.migrations,
+        "frames": result.frames,
     }
 
 

@@ -7,28 +7,18 @@ surge-prone animations (W3Schools) should show the fat error tail that
 motivates the paper's Sec. 8 suggestion of profiling-guided prediction.
 """
 
-from conftest import run_once
+from conftest import run_greenweb, run_once
 
-from repro.browser.engine import Browser
-from repro.core.annotations import AnnotationRegistry
 from repro.core.qos import UsageScenario
-from repro.policies import POLICIES
 from repro.evaluation.analysis import prediction_accuracy
 from repro.hardware.platform import odroid_xu_e
-from repro.workloads.interactions import InteractionDriver
-from repro.workloads.registry import build_app
 
 APPS = ("craigslist", "paperjs", "w3schools", "msn")
 
 
 def _accuracy_for(app: str):
-    bundle = build_app(app)
     platform = odroid_xu_e(record_power_intervals=False)
-    registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    runtime = POLICIES.build("greenweb", platform, registry, UsageScenario.USABLE)
-    browser = Browser(platform, bundle.page, policy=runtime)
-    InteractionDriver(browser).schedule(bundle.micro_trace)
-    platform.run_for(bundle.micro_trace.duration_us + 4_000_000)
+    run_greenweb(app, platform, UsageScenario.USABLE)
     return prediction_accuracy(platform.trace)
 
 

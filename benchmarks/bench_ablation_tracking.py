@@ -9,26 +9,14 @@ two Fig. 8 complexities: interleaved inputs and VSync batching.
 
 import statistics
 
-from conftest import run_once
+from conftest import run_greenweb, run_once
 
-from repro.browser.engine import Browser
-from repro.core.annotations import AnnotationRegistry
-from repro.core.qos import UsageScenario
-from repro.policies import POLICIES
 from repro.hardware.platform import odroid_xu_e
-from repro.workloads.interactions import InteractionDriver
-from repro.workloads.registry import build_app
 
 
 def _run_msn_and_collect():
-    bundle = build_app("msn")
     platform = odroid_xu_e(record_power_intervals=False)
-    registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    runtime = POLICIES.build("greenweb", platform, registry, UsageScenario.IMPERCEPTIBLE)
-    browser = Browser(platform, bundle.page, policy=runtime)
-    driver = InteractionDriver(browser)
-    driver.schedule(bundle.micro_trace)
-    platform.run_for(bundle.micro_trace.duration_us + 4_000_000)
+    execution, _ = run_greenweb("msn", platform)
 
     callback_latency = {}
     for record in platform.trace.filter(category="callback", name="finished"):
@@ -36,7 +24,7 @@ def _run_msn_and_collect():
         callback_latency[uid] = max(callback_latency.get(uid, 0), record["latency_us"])
 
     pairs = []
-    for record in browser.tracker.records:
+    for record in execution.browser.tracker.records:
         if record.frame_count and record.uid in callback_latency:
             pairs.append((callback_latency[record.uid], record.first_frame_latency_us))
     return pairs

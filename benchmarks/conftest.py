@@ -11,6 +11,11 @@ import pathlib
 
 import pytest
 
+from repro.core.qos import UsageScenario
+from repro.evaluation.runner import SessionExecution
+from repro.policies import POLICIES
+from repro.workloads.registry import build_app
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
@@ -32,3 +37,18 @@ def run_once(benchmark, fn):
     (full figure matrices are seconds-long; statistical repetition
     belongs to the simulator's own determinism, not wall time)."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def run_greenweb(app, platform, scenario=UsageScenario.IMPERCEPTIBLE):
+    """Replay ``app``'s micro trace (seed 0, 4 s settle) under the
+    GreenWeb runtime on a caller-built ``platform``.  Returns the
+    replayed :class:`SessionExecution` (its ``platform.trace`` and
+    ``browser.tracker`` stay readable) and the session's ``RunResult``."""
+    execution = SessionExecution(
+        build_app(app), platform, "greenweb", scenario, "micro", 0, 4.0,
+        lambda platform, registry, live: POLICIES.build(
+            "greenweb", platform, registry, live
+        ),
+    )
+    execution.run_scalar()
+    return execution, execution.finish()

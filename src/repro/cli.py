@@ -32,11 +32,13 @@ import signal
 import sys
 import time
 
-from repro.errors import ReproError
-from repro.evaluation.runner import run_workload
+from repro.errors import EvaluationError, ReproError
+from repro.evaluation.runner import SessionExecution, resolve_spec, run_workload
+from repro.hardware.platform import MobilePlatform, odroid_xu_e
 from repro.ioutil import probe_writable, write_file_atomic
 from repro.policies import POLICIES
-from repro.scenarios import SCENARIOS, build_live_scenario
+from repro.scenarios import SCENARIOS
+from repro.sim.trace_export import export_chrome_trace
 from repro.sim.tracing import TRACE_LEVELS
 from repro.workloads.registry import APP_NAMES, build_app, table3_specs
 
@@ -55,17 +57,26 @@ def _cmd_apps(_args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.export_trace:
+        if args.trace_level != "full":
+            raise EvaluationError(
+                f"--export-trace retains the full trace; it cannot also run "
+                f"at --trace-level {args.trace_level}"
+            )
         # Validate the output path before the simulation, not after:
         # a typo'd path must fail in milliseconds, not minutes.
         probe_writable(args.export_trace, "--export-trace")
-    result = run_workload(
-        args.app,
-        args.governor,
-        args.scenario,
-        trace_kind=args.trace,
-        seed=args.seed,
-        trace_level=args.trace_level,
-    )
+        platform = odroid_xu_e(record_power_intervals=False)
+        platform.record_task_spans = True  # per-thread timeline tracks
+        result = _run_session(args, platform).finish()
+    else:
+        result = run_workload(
+            args.app,
+            args.governor,
+            args.scenario,
+            trace_kind=args.trace,
+            seed=args.seed,
+            trace_level=args.trace_level,
+        )
     print(f"app:            {result.app} ({result.trace_kind} trace, seed {args.seed})")
     print(f"governor:       {result.governor} / {result.scenario}")
     print(f"duration:       {result.duration_s:.1f} s simulated")
@@ -86,34 +97,39 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"runtime:        {result.runtime_stats}")
 
     if args.export_trace:
-        count = _export_trace(args)
+        count = export_chrome_trace(platform.trace, args.export_trace)
         print(f"chrome trace:   {args.export_trace} ({count} events)")
     return 0
 
 
-def _export_trace(args: argparse.Namespace) -> int:
-    """Re-run with trace retention and export a Chrome-trace JSON."""
-    from repro.browser.engine import Browser
-    from repro.core.annotations import AnnotationRegistry
-    from repro.evaluation.runner import make_policy
-    from repro.hardware.platform import odroid_xu_e
-    from repro.sim.clock import s_to_us
-    from repro.sim.trace_export import export_chrome_trace
-    from repro.workloads.interactions import InteractionDriver
+def _run_session(args: argparse.Namespace, platform: MobilePlatform) -> SessionExecution:
+    """Replay ``args``' session (app, governor, scenario, trace, seed)
+    on ``platform`` and return the replayed execution: the caller reads
+    ``platform.trace`` and calls ``finish()`` for the scorecard.
 
-    bundle = build_app(args.app, args.seed)
-    trace_obj = bundle.micro_trace if args.trace == "micro" else bundle.full_trace
-    platform = odroid_xu_e(record_power_intervals=False)
-    platform.record_task_spans = True  # per-thread timeline tracks
-    scenario = build_live_scenario(args.scenario, platform, seed=args.seed)
-    registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    policy = make_policy(args.governor, platform, registry, scenario)
-    browser = Browser(platform, bundle.page, policy=policy)
-    scenario.attach(browser)
-    driver = InteractionDriver(browser)
-    driver.schedule(trace_obj)
-    platform.run_for(trace_obj.duration_us + s_to_us(4))
-    return export_chrome_trace(platform.trace, args.export_trace)
+    Post-hoc policies (the oracle) replay many sessions and have no
+    single live trace, so they are refused before anything runs.
+    """
+    spec = resolve_spec(args.governor)
+    if POLICIES.get(spec.name).posthoc is not None:
+        raise EvaluationError(
+            f"policy {spec.name!r} is post-hoc: it replays many sessions, "
+            f"so there is no single live trace to {args.command}"
+        )
+    execution = SessionExecution(
+        build_app(args.app, args.seed),
+        platform,
+        spec.label(),
+        args.scenario,
+        args.trace,
+        args.seed,
+        4.0,
+        lambda platform, registry, scenario: POLICIES.build(
+            spec, platform, registry, scenario
+        ),
+    )
+    execution.run_scalar()
+    return execution
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -162,26 +178,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     """Frame-timeline analysis of one run (p50/p95/p99, FPS, jank)."""
-    from repro.browser.engine import Browser
-    from repro.core.annotations import AnnotationRegistry
     from repro.evaluation.analysis import fps_over_time, frame_timeline_stats
     from repro.evaluation.report import ascii_bars
-    from repro.evaluation.runner import make_policy
-    from repro.hardware.platform import odroid_xu_e
-    from repro.sim.clock import s_to_us
-    from repro.workloads.interactions import InteractionDriver
 
-    bundle = build_app(args.app, args.seed)
-    trace_obj = bundle.micro_trace if args.trace == "micro" else bundle.full_trace
-    platform = odroid_xu_e(record_power_intervals=False)
-    scenario = build_live_scenario(args.scenario, platform, seed=args.seed)
-    registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-    policy = make_policy(args.governor, platform, registry, scenario)
-    browser = Browser(platform, bundle.page, policy=policy)
-    scenario.attach(browser)
-    InteractionDriver(browser).schedule(trace_obj)
-    platform.run_for(trace_obj.duration_us + s_to_us(4))
-
+    platform = _run_session(args, odroid_xu_e(record_power_intervals=False)).platform
     stats = frame_timeline_stats(platform.trace)
     print(f"frame timeline for {args.app} / {args.governor} / {args.scenario}:")
     print(f"  frames:      {stats.frame_count} over {stats.duration_s:.1f} s "
@@ -250,7 +250,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     checkpoint fingerprint mismatch), and 128+signum (130 for SIGINT,
     143 for SIGTERM) when a signal stopped the run gracefully.
     """
-    from repro.errors import EvaluationError
     from repro.fleet import Fleet, FleetSpec, default_mix, parse_mix
 
     if args.resume and not args.checkpoint:
@@ -364,7 +363,6 @@ def _cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
     that is expected damage a resume repairs), 2 when the file is
     missing or not a checkpoint at all.
     """
-    from repro.errors import EvaluationError
     from repro.fleet.checkpoint import CHECKPOINT_VERSION, scan_checkpoint
 
     size = os.path.getsize(args.journal)  # OSError -> exit 2 via main()

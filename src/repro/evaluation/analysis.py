@@ -215,60 +215,37 @@ def run_tradeoff_space(
     spec string, or :class:`~repro.core.qos.UsageScenario` (default
     imperceptible) — bound live to each run like every other session.
     """
-    from repro.browser.engine import Browser
     from repro.core.qos import UsageScenario
-    from repro.evaluation.runner import _ActiveWindowAccountant
+    from repro.evaluation.runner import SessionExecution
     from repro.hardware.platform import odroid_xu_e
-    from repro.scenarios import SCENARIOS, build_live_scenario
-    from repro.sim.clock import s_to_us
-    from repro.workloads.interactions import InteractionDriver
     from repro.workloads.registry import build_app
 
-    scenario_spec = SCENARIOS.normalize(
-        scenario if scenario is not None else UsageScenario.IMPERCEPTIBLE
-    )
+    if scenario is None:
+        scenario = UsageScenario.IMPERCEPTIBLE
     points = []
-    reference = odroid_xu_e()
-    for config in reference.all_configs():
-        bundle = build_app(app, seed)
-        platform = odroid_xu_e(
-            record_power_intervals=False, initial_config=config
+    for config in odroid_xu_e().all_configs():
+        execution = SessionExecution(
+            build_app(app, seed),
+            odroid_xu_e(record_power_intervals=False, initial_config=config),
+            "pinned",
+            scenario,
+            "micro",
+            seed,
+            6.0,
+            # No policy: the browser's no-op policy holds the pinned config.
+            lambda platform, registry, live_scenario: None,
         )
-        live = build_live_scenario(scenario_spec, platform, seed=seed)
-        browser = Browser(platform, bundle.page)  # no-op policy: pinned config
-        live.attach(browser)
-        accountant = _ActiveWindowAccountant(platform)
-        driver = InteractionDriver(browser)
-        driver.schedule(bundle.micro_trace)
-        platform.run_for(bundle.micro_trace.duration_us + s_to_us(6))
-        latencies = browser.tracker.all_frame_latencies_us()
+        execution.run_scalar()
+        result = execution.finish()
+        latencies = execution.browser.tracker.all_frame_latencies_us()
         mean_latency = sum(latencies) / len(latencies) if latencies else float("inf")
-
-        # Violations against the app's annotated targets.
-        from repro.core.annotations import AnnotationRegistry
-        from repro.evaluation.metrics import event_violation_pct, mean_violation_pct
-
-        registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-        violations = []
-        for scripted, record in zip(
-            bundle.micro_trace.sorted_events(), browser.tracker.records
-        ):
-            target = (
-                bundle.page.document.get_element_by_id(scripted.target_id)
-                if scripted.target_id
-                else bundle.page.document.root
-            )
-            spec = registry.lookup(target, scripted.event_type)
-            violations.append(
-                event_violation_pct(record, spec, live) if spec else None
-            )
         points.append(
             TradeoffPoint(
                 cluster=config.cluster,
                 freq_mhz=config.freq_mhz,
                 mean_frame_latency_us=mean_latency,
-                active_energy_j=accountant.active_energy_j,
-                mean_violation_pct=mean_violation_pct(violations),
+                active_energy_j=result.active_energy_j,
+                mean_violation_pct=result.mean_violation_pct,
             )
         )
     return points

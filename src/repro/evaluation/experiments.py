@@ -53,6 +53,16 @@ def _run_matrix(
     }
 
 
+def _greenweb_pairs(
+    apps: Optional[list[str]], seed: int
+) -> list[tuple[RunResult, RunResult]]:
+    """(GreenWeb-I, GreenWeb-U) full-trace runs per app: the cells
+    Figs. 11/12 read when no Fig. 10 rows are supplied."""
+    app_list = list(apps or APP_NAMES)
+    matrix = _run_matrix(app_list, [("greenweb", I), ("greenweb", U)], "full", seed, 1)
+    return [tuple(matrix[app]) for app in app_list]
+
+
 # ----------------------------------------------------------------------
 # Fig. 9: micro-benchmarks
 # ----------------------------------------------------------------------
@@ -236,28 +246,18 @@ def run_fig11_distribution(
 ) -> list[DistributionRow]:
     """Figs. 11a/11b: where GreenWeb spends its time.  Reuses Fig. 10's
     runs when provided (the distributions come from the same traces)."""
-    rows = []
     if fig10_rows is not None:
-        for row in fig10_rows:
-            rows.append(
-                DistributionRow(
-                    app=row.app,
-                    residency_i=row.runs["greenweb_i"].active_config_residency,
-                    residency_u=row.runs["greenweb_u"].active_config_residency,
-                )
-            )
-        return rows
-    for app in apps or APP_NAMES:
-        green_i = run_workload(app, "greenweb", I, "full", seed)
-        green_u = run_workload(app, "greenweb", U, "full", seed)
-        rows.append(
-            DistributionRow(
-                app=app,
-                residency_i=green_i.active_config_residency,
-                residency_u=green_u.active_config_residency,
-            )
+        pairs = [(row.runs["greenweb_i"], row.runs["greenweb_u"]) for row in fig10_rows]
+    else:
+        pairs = _greenweb_pairs(apps, seed)
+    return [
+        DistributionRow(
+            app=green_i.app,
+            residency_i=green_i.active_config_residency,
+            residency_u=green_u.active_config_residency,
         )
-    return rows
+        for green_i, green_u in pairs
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -288,27 +288,21 @@ def run_fig12_switching(
     fig10_rows: Optional[list[FullInteractionRow]] = None,
 ) -> list[SwitchingRow]:
     """Fig. 12: frequency switches vs. core migrations per frame."""
-    rows = []
 
-    def make_row(app: str, green_i: RunResult, green_u: RunResult) -> SwitchingRow:
+    def make_row(green_i: RunResult, green_u: RunResult) -> SwitchingRow:
         fi, mi = switching_per_frame_pct(
             green_i.freq_switches, green_i.migrations, green_i.inputs + green_i.frames
         )
         fu, mu = switching_per_frame_pct(
             green_u.freq_switches, green_u.migrations, green_u.inputs + green_u.frames
         )
-        return SwitchingRow(app, fi, mi, fu, mu)
+        return SwitchingRow(green_i.app, fi, mi, fu, mu)
 
     if fig10_rows is not None:
-        return [
-            make_row(row.app, row.runs["greenweb_i"], row.runs["greenweb_u"])
-            for row in fig10_rows
-        ]
-    for app in apps or APP_NAMES:
-        green_i = run_workload(app, "greenweb", I, "full", seed)
-        green_u = run_workload(app, "greenweb", U, "full", seed)
-        rows.append(make_row(app, green_i, green_u))
-    return rows
+        pairs = [(row.runs["greenweb_i"], row.runs["greenweb_u"]) for row in fig10_rows]
+    else:
+        pairs = _greenweb_pairs(apps, seed)
+    return [make_row(green_i, green_u) for green_i, green_u in pairs]
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +327,7 @@ class Table3Row:
 def run_table3_characteristics(seed: int = 0) -> list[Table3Row]:
     """Table 3: per-app events / durations / annotation coverage."""
     from repro.core.annotations import AnnotationRegistry
+    from repro.workloads.interactions import resolve_target
     from repro.workloads.registry import build_app
 
     rows = []
@@ -342,11 +337,7 @@ def run_table3_characteristics(seed: int = 0) -> list[Table3Row]:
         registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
         annotated = 0
         for scripted in bundle.full_trace.events:
-            target = (
-                bundle.page.document.get_element_by_id(scripted.target_id)
-                if scripted.target_id
-                else bundle.page.document.root
-            )
+            target = resolve_target(bundle.page, scripted)
             if registry.lookup(target, scripted.event_type) is not None:
                 annotated += 1
         rows.append(

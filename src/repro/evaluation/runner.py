@@ -23,13 +23,14 @@ from repro.errors import EvaluationError
 from repro.evaluation.folds import ConfigTimelineFold
 from repro.evaluation.metrics import event_violation_pct, mean_violation_pct
 from repro.hardware.dvfs import CpuConfig
-from repro.hardware.platform import odroid_xu_e
+from repro.hardware.platform import MobilePlatform, odroid_xu_e
 from repro.policies import POLICIES, PolicySpec
 from repro.scenarios import SCENARIOS, Scenario, ScenarioSpec
 from repro.sim.clock import s_to_us
 from repro.sim.random import RngStreams
 from repro.sim.tracing import TraceLog
-from repro.workloads.interactions import InteractionDriver
+from repro.workloads.base import AppBundle
+from repro.workloads.interactions import InteractionDriver, resolve_target
 from repro.workloads.registry import build_app
 
 #: The paper's governor set (Sec. 7.1's bake-off plus the ablation
@@ -193,20 +194,10 @@ def trace_event_keys(app: str, seed: int, trace_kind: str) -> list[str]:
     browser.
     """
     bundle = build_app(app, seed)
-    trace = _resolve_trace(bundle, trace_kind)
-    keys = []
-    for scripted in trace.sorted_events():
-        target = (
-            bundle.page.document.get_element_by_id(scripted.target_id)
-            if scripted.target_id
-            else bundle.page.document.root
-        )
-        if target is None:
-            raise EvaluationError(
-                f"trace {trace.name!r} targets missing element #{scripted.target_id}"
-            )
-        keys.append(f"{target_key(target)}@{scripted.event_type}")
-    return keys
+    return [
+        f"{target_key(resolve_target(bundle.page, scripted))}@{scripted.event_type}"
+        for scripted in _resolve_trace(bundle, trace_kind).sorted_events()
+    ]
 
 
 def run_workload(
@@ -276,70 +267,60 @@ def run_workload(
 
 
 class SessionExecution:
-    """One measurement world, in three phases.
+    """One measurement world, in three phases: the only code that
+    assembles and replays a simulated session.
 
-    ``__init__`` builds everything a session needs before the clock
-    moves (page, platform, bound scenario, policy, browser, folds, the
-    scheduled trace); :meth:`run_scalar` replays the fixed window on the
-    session's own kernel; :meth:`finish` collects the
+    ``__init__`` wires a built app onto ``platform`` (whose
+    ``TraceLog`` sets the trace level): bound scenario, policy
+    (``policy_factory`` may return ``None`` for the browser's no-op
+    policy), browser, folds, the scheduled trace.  :meth:`run_scalar`
+    replays the fixed window; :meth:`finish` collects the
     :class:`RunResult`.  :func:`execute_run` runs the three in order;
-    the split exists so each phase can be timed on its own.
+    callers that read ``platform.trace`` or ``browser.tracker`` between
+    phases run them themselves, and the benchmark ledger times each.
     """
 
     def __init__(
         self,
-        app: str,
+        bundle: AppBundle,
+        platform: MobilePlatform,
         governor_label: str,
         scenario: "UsageScenario | ScenarioSpec | str",
         trace_kind: str,
         seed: int,
         settle_s: float,
-        trace_level: str,
         policy_factory,
     ) -> None:
-        self.app = app
+        self.app = bundle.spec.name
         self.governor_label = governor_label
         self.scenario_spec = SCENARIOS.normalize(scenario)
         self.trace_kind = trace_kind
-
-        bundle = build_app(app, seed)
         trace = _resolve_trace(bundle, trace_kind)
 
-        self.platform = odroid_xu_e(
-            record_power_intervals=False, trace=TraceLog.for_level(trace_level)
-        )
+        self.platform = platform
         # Each session gets a FRESH live scenario (instances carry run
         # state) bound to its platform and a forked RNG lane, so
         # scenario randomness never perturbs workload streams.  Bound
         # before the policy so the policy can read its targets from it.
         self.scenario: Scenario = SCENARIOS.build(self.scenario_spec).bind(
-            self.platform, RngStreams(seed).fork("scenario")
+            platform, RngStreams(seed).fork("scenario")
         )
         registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-        self.policy = policy_factory(self.platform, registry, self.scenario)
-        self.browser = Browser(self.platform, bundle.page, policy=self.policy)
+        self.policy = policy_factory(platform, registry, self.scenario)
+        self.browser = Browser(platform, bundle.page, policy=self.policy)
         self.scenario.attach(self.browser)
-        self._config_fold = ConfigTimelineFold().attach(self.platform.trace)
-        self._accountant = _ActiveWindowAccountant(self.platform)
+        self._config_fold = ConfigTimelineFold().attach(platform.trace)
+        self._accountant = _ActiveWindowAccountant(platform)
         driver = InteractionDriver(self.browser)
 
         # Pre-resolve each trace event's QoS spec (annotation state is
         # static); used for violation accounting under EVERY governor so
         # comparisons judge identical targets.
         self._ordered = trace.sorted_events()
-        specs: list[Optional[QoSSpec]] = []
-        for scripted in self._ordered:
-            target = (
-                bundle.page.document.get_element_by_id(scripted.target_id)
-                if scripted.target_id
-                else bundle.page.document.root
-            )
-            if target is None:
-                raise EvaluationError(
-                    f"trace {trace.name!r} targets missing element #{scripted.target_id}"
-                )
-            specs.append(registry.lookup(target, scripted.event_type))
-        self._specs = specs
+        self._specs: list[Optional[QoSSpec]] = [
+            registry.lookup(resolve_target(bundle.page, scripted), scripted.event_type)
+            for scripted in self._ordered
+        ]
 
         driver.schedule(trace)
         #: the fixed measurement window (trace duration + settle tail)
@@ -425,17 +406,20 @@ def execute_run(
     policy_factory,
 ) -> RunResult:
     """The measurement core shared by live-policy runs and post-hoc
-    replays: build the world (including a fresh bound scenario), let
-    ``policy_factory(platform, registry, scenario)`` supply the policy,
-    replay the trace for the fixed window, collect metrics.
+    replays: build the app's page and a platform tracing at
+    ``trace_level``, hand both to a :class:`SessionExecution` (which
+    binds a fresh scenario and lets ``policy_factory(platform,
+    registry, scenario)`` supply the policy), replay the trace for the
+    fixed window, collect metrics.
     :func:`run_workload` is the spec-aware front door; the oracle calls
     this directly with its pinned-replay policies — each replay gets
     its own scenario instance, so thermal state never leaks between
     replays.
     """
     execution = SessionExecution(
-        app, governor_label, scenario, trace_kind, seed, settle_s, trace_level,
-        policy_factory,
+        build_app(app, seed),
+        odroid_xu_e(record_power_intervals=False, trace=TraceLog.for_level(trace_level)),
+        governor_label, scenario, trace_kind, seed, settle_s, policy_factory,
     )
     execution.run_scalar()
     return execution.finish()

@@ -19,17 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.browser.engine import Browser
-from repro.core.annotations import AnnotationRegistry
 from repro.core.qos import UsageScenario
 from repro.errors import EvaluationError
-from repro.evaluation.metrics import event_violation_pct, mean_violation_pct
-from repro.evaluation.runner import _ActiveWindowAccountant
-from repro.policies import POLICIES
+from repro.evaluation.metrics import cluster_residency
+from repro.evaluation.runner import SessionExecution
 from repro.hardware.platform import odroid_xu_e
-from repro.sim.clock import s_to_us
+from repro.policies import POLICIES
 from repro.web.css.parser import parse_stylesheet
-from repro.workloads.interactions import InteractionDriver
 from repro.workloads.registry import build_app
 
 
@@ -79,42 +75,27 @@ def run_target_sweep(
             f"{target_ms:g}, {target_ms:g}; }}"
         )
         bundle.page.stylesheet.extend(parse_stylesheet(css))
-        registry = AnnotationRegistry.from_stylesheet(bundle.page.stylesheet)
-
-        platform = odroid_xu_e(record_power_intervals=False)
-        runtime = POLICIES.build(
-            governor_spec, platform, registry, UsageScenario.IMPERCEPTIBLE
+        execution = SessionExecution(
+            bundle,
+            odroid_xu_e(record_power_intervals=False),
+            governor_spec.label(),
+            UsageScenario.IMPERCEPTIBLE,
+            "micro",
+            seed,
+            4.0,
+            lambda platform, registry, scenario: POLICIES.build(
+                governor_spec, platform, registry, scenario
+            ),
         )
-        browser = Browser(platform, bundle.page, policy=runtime)
-        accountant = _ActiveWindowAccountant(platform)
-        driver = InteractionDriver(browser)
-        driver.schedule(bundle.micro_trace)
-        platform.run_for(bundle.micro_trace.duration_us + s_to_us(4))
-
-        violations = []
-        for scripted, record in zip(
-            bundle.micro_trace.sorted_events(), browser.tracker.records
-        ):
-            target = bundle.page.document.get_element_by_id(scripted.target_id)
-            spec = registry.lookup(target, scripted.event_type)
-            if spec is not None:
-                violations.append(
-                    event_violation_pct(record, spec, UsageScenario.IMPERCEPTIBLE)
-                )
-
-        from repro.evaluation.metrics import cluster_residency, windowed_config_residency
-        from repro.hardware.dvfs import CpuConfig
-
-        residency = windowed_config_residency(
-            platform.trace, accountant.windows, initial=CpuConfig("big", 1800)
-        )
+        execution.run_scalar()
+        result = execution.finish()
         points.append(
             TargetSweepPoint(
                 target_ms=target_ms,
-                active_energy_j=accountant.active_energy_j,
-                mean_violation_pct=mean_violation_pct(violations),
-                frames=browser.stats.frames,
-                big_share=cluster_residency(residency).get("big", 0.0),
+                active_energy_j=result.active_energy_j,
+                mean_violation_pct=result.mean_violation_pct,
+                frames=result.frames,
+                big_share=cluster_residency(result.active_config_residency).get("big", 0.0),
             )
         )
     return points

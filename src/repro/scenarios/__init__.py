@@ -26,9 +26,10 @@ def build_live_scenario(spec, platform, seed: int = 0) -> Scenario:
     """Build and bind a fresh scenario for a hand-assembled session.
 
     Convenience for code that wires platform/browser/policy manually
-    (the CLI's trace export, :meth:`repro.session.Session.for_page`);
-    the measurement runner does the equivalent internally.  Remember to
-    call ``scenario.attach(browser)`` once the browser exists.
+    (:meth:`repro.session.Session.for_page`); measured sessions bind
+    theirs inside :class:`~repro.evaluation.runner.SessionExecution`.
+    Remember to call ``scenario.attach(browser)`` once the browser
+    exists.
     """
     return SCENARIOS.build(spec).bind(platform, RngStreams(seed).fork("scenario"))
 

@@ -22,6 +22,8 @@ from repro.web.events import EventType
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.browser.engine import Browser
+    from repro.browser.page import Page
+    from repro.web.dom import Element
 
 #: Touch-sample interval for Moving interactions (~60 Hz digitizer).
 TOUCH_SAMPLE_US = 16_000
@@ -64,6 +66,23 @@ class InteractionTrace:
 
     def sorted_events(self) -> list[ScriptedEvent]:
         return sorted(self.events, key=lambda e: e.at_us)
+
+
+def resolve_target(page: "Page", scripted: ScriptedEvent) -> "Element":
+    """The element ``scripted`` fires on in ``page``: its ``#target_id``,
+    or the document root when the id is empty.
+
+    Raises :class:`WorkloadError` when the page has no such element.
+    """
+    if not scripted.target_id:
+        return page.document.root
+    target = page.document.get_element_by_id(scripted.target_id)
+    if target is None:
+        raise WorkloadError(
+            f"trace targets missing element #{scripted.target_id} "
+            f"in page {page.name!r}"
+        )
+    return target
 
 
 # ----------------------------------------------------------------------
@@ -144,16 +163,9 @@ class InteractionDriver:
             )
 
     def _fire(self, scripted: ScriptedEvent) -> None:
-        if scripted.target_id:
-            target = self.browser.page.document.get_element_by_id(scripted.target_id)
-            if target is None:
-                raise WorkloadError(
-                    f"trace targets missing element #{scripted.target_id} "
-                    f"in page {self.browser.page.name!r}"
-                )
-        else:
-            target = self.browser.page.document.root
-        self.browser.dispatch_event(scripted.event_type, target)
+        self.browser.dispatch_event(
+            scripted.event_type, resolve_target(self.browser.page, scripted)
+        )
         self.dispatched.append(scripted)
 
     def run(self, trace: InteractionTrace, settle_us: int = 3_000_000) -> None:

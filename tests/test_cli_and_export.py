@@ -219,6 +219,68 @@ class TestCli:
             build_parser().parse_args(["fly"])
 
 
+class TestLiveTraceCommands:
+    """``run --export-trace`` and ``analyze`` replay one live session and
+    read its retained trace; what they cannot honour is refused before
+    anything is simulated."""
+
+    @pytest.fixture
+    def run_for_calls(self, monkeypatch):
+        from repro.hardware.platform import MobilePlatform
+
+        calls = []
+        original = MobilePlatform.run_for
+
+        def counting(platform, duration_us):
+            calls.append(duration_us)
+            return original(platform, duration_us)
+
+        monkeypatch.setattr(MobilePlatform, "run_for", counting)
+        return calls
+
+    def test_export_simulates_once(self, tmp_path, capsys, run_for_calls):
+        path = tmp_path / "trace.json"
+        assert main(["run", "todo", "--export-trace", str(path)]) == 0
+        assert len(run_for_calls) == 1
+        out = capsys.readouterr().out
+        assert "QoS violations:" in out and "chrome trace:" in out
+        assert json.loads(path.read_text())["traceEvents"]
+
+    @pytest.mark.parametrize("command", [
+        ["run", "todo", "--trace", "micro", "--export-trace"],
+        ["analyze", "todo"],
+    ])
+    def test_posthoc_governor_refused_up_front(
+        self, command, tmp_path, capsys, run_for_calls
+    ):
+        path = tmp_path / "trace.json"
+        argv = command + ([str(path)] if command[-1] == "--export-trace" else [])
+        assert main(argv + ["--governor", "oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "post-hoc" in captured.err
+        assert run_for_calls == []
+        assert not path.exists()
+
+    @pytest.mark.parametrize("level", ["gated", "off"])
+    def test_export_refuses_non_retaining_trace_level(
+        self, level, tmp_path, capsys, run_for_calls
+    ):
+        path = tmp_path / "trace.json"
+        assert main([
+            "run", "todo", "--trace-level", level, "--export-trace", str(path),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trace-level" in captured.err
+        assert run_for_calls == []
+        assert not path.exists()
+
+    def test_run_without_export_keeps_posthoc_governors(self, capsys):
+        assert main(["run", "todo", "--governor", "oracle"]) == 0
+        assert "oracle" in capsys.readouterr().out
+
+
 class TestTaskSpans:
     def test_task_spans_off_by_default(self):
         from repro.hardware import WorkUnit, odroid_xu_e

@@ -186,3 +186,16 @@ class TestDriver:
         driver.schedule(trace)
         with pytest.raises(WorkloadError):
             platform.run_for(1_000)
+
+    def test_session_rejects_missing_target_before_running(self):
+        from repro.evaluation.runner import SessionExecution
+
+        bundle = build_app("todo")
+        bundle.micro_trace.extend([ScriptedEvent(0, EventType.CLICK, "ghost")])
+        platform = odroid_xu_e()
+        with pytest.raises(WorkloadError, match="#ghost"):
+            SessionExecution(
+                bundle, platform, "perf", "imperceptible", "micro", 0, 4.0,
+                lambda *_: None,
+            )
+        assert platform.kernel.now_us == 0
