@@ -19,21 +19,36 @@ the transition parser can interpret them without re-tokenizing.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import CssSyntaxError
 from repro.web.css.selectors import Selector, parse_selector_from_tokens
 from repro.web.css.stylesheet import Declaration, StyleRule, Stylesheet
 from repro.web.css.tokenizer import CssToken, CssTokenType, tokenize
 
+#: Distinct stylesheet texts kept parsed per process: every app's
+#: ``<style>`` and annotation CSS plus a target sweep's generated rules.
+_RULE_CACHE_SIZE = 256
+
 
 def parse_stylesheet(text: str) -> Stylesheet:
     """Parse CSS text into a :class:`Stylesheet`.
+
+    Each distinct text is parsed once per process; every call returns a
+    new stylesheet over the shared rules, which are frozen all the way
+    down.  Errors are never cached: bad CSS raises on every call.
 
     Raises:
         CssSyntaxError: on malformed rules (with source position).
         SelectorError: on malformed selectors.
     """
+    return Stylesheet(_parse_rules(text))
+
+
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _parse_rules(text: str) -> tuple[StyleRule, ...]:
     tokens = tokenize(text, keep_whitespace=True)
-    sheet = Stylesheet()
+    rules: list[StyleRule] = []
     index = 0
     while True:
         index = _skip_ws(tokens, index)
@@ -43,8 +58,8 @@ def parse_stylesheet(text: str) -> Stylesheet:
             index = _skip_at_rule(tokens, index)
             continue
         rule, index = _parse_rule(tokens, index)
-        sheet.append(rule)
-    return sheet
+        rules.append(rule)
+    return tuple(rules)
 
 
 def _skip_at_rule(tokens: list[CssToken], index: int) -> int:

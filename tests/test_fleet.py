@@ -112,6 +112,20 @@ class TestExpansion:
         with pytest.raises(EvaluationError):
             FleetSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("settle_s", float("nan")), ("settle_s", float("inf")),
+         ("settle_s", -1.0), ("shard_timeout_s", float("nan")),
+         ("shard_timeout_s", float("inf")), ("shard_timeout_s", 0.0),
+         ("shard_timeout_s", -1.0)],
+    )
+    def test_durations_must_be_finite_and_in_range(self, field, value):
+        with pytest.raises(EvaluationError, match=field):
+            FleetSpec(sessions=4, mix=FAST_MIX, **{field: value})
+
+    def test_zero_settle_accepted(self):
+        assert FleetSpec(sessions=4, mix=FAST_MIX, settle_s=0.0).settle_s == 0.0
+
 
 # ----------------------------------------------------------------------
 # Mergeable metrics

@@ -153,6 +153,16 @@ class TestNormalizePayload:
         assert spec.sessions == 8
         assert spec.fingerprint() == build_fleet_spec(canonical).fingerprint()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("settle_s", float("nan")), ("settle_s", float("inf")),
+         ("settle_s", -1.0), ("shard_timeout_s", float("nan")),
+         ("shard_timeout_s", float("-inf")), ("shard_timeout_s", 0)],
+    )
+    def test_rejects_out_of_range_durations(self, field, value):
+        with pytest.raises(EvaluationError, match=field):
+            normalize_job_payload(dict(FAST_JOB, **{field: value}))
+
     def test_priority_defaults_to_zero(self):
         assert normalize_job_payload({})["priority"] == 0
         assert normalize_job_payload({"priority": 7})["priority"] == 7
@@ -530,6 +540,18 @@ class TestServeHTTP:
         assert status == 404
         status, _ = http_json("GET", app.url + "/nowhere")
         assert status == 404
+
+    def test_non_finite_durations_are_400(self, app):
+        # json.dumps writes NaN/Infinity literals, which json.loads
+        # accepts: the spec check is what has to refuse them.
+        for field, value in (("settle_s", float("nan")),
+                             ("shard_timeout_s", float("inf"))):
+            status, body = http_json(
+                "POST", app.url + "/jobs", dict(FAST_JOB, **{field: value})
+            )
+            assert status == 400 and field in body["error"]
+        status, listing = http_json("GET", app.url + "/jobs")
+        assert status == 200 and listing["jobs"] == []
 
     def test_cancel_done_job_conflicts(self, app):
         _, detail = http_json("POST", app.url + "/jobs", FAST_JOB)
